@@ -12,7 +12,7 @@ test: ## run the full test suite
 	$(GO) test ./...
 
 race: ## run the full test suite under the race detector
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 
 race-server: ## hammer the concurrent serving stack under -race (torture tests, repeated runs)
 	$(GO) test -race -count=2 -timeout 10m ./internal/vfs ./internal/server ./internal/client ./internal/wire ./cmd/nfsbench

@@ -89,10 +89,9 @@ type nameBinding struct {
 }
 
 // BlockLifeStream is the incremental form of BlockLife: feed it
-// time-ordered operations with Consume and read the analysis with
-// Result. The sharded pipeline runs one stream per shard (the per-file
-// state partitions cleanly by handle) and merges the partial results
-// with MergeBlockLife.
+// time-ordered operations with Add and read the analysis with Result.
+// The sharded pipeline runs one stream per shard (the per-file state
+// partitions cleanly by handle) and merges the streams with Merge.
 type BlockLifeStream struct {
 	st    blockLifeState
 	start float64
@@ -120,9 +119,9 @@ func NewBlockLifeStream(start, phase, margin float64) *BlockLifeStream {
 	return s
 }
 
-// Consume folds one operation into the analysis. Ops must arrive in
+// Add folds one operation into the analysis. Ops must arrive in
 // time order; ops past the analysis window are ignored.
-func (s *BlockLifeStream) Consume(op *core.Op) {
+func (s *BlockLifeStream) Add(op *core.Op) {
 	if s.done || op.T >= s.end {
 		return
 	}
@@ -150,25 +149,62 @@ func (s *BlockLifeStream) Result() *BlockLifeResult {
 	return &s.st.res
 }
 
-// MergeBlockLife combines per-shard results into one, as if a single
-// stream had seen every shard's operations. All counters are integers
-// and the lifetime CDF merges by sample union, so the merged result is
-// independent of how files were partitioned.
-func MergeBlockLife(parts ...*BlockLifeResult) *BlockLifeResult {
-	out := &BlockLifeResult{Lifetimes: &stats.CDF{}}
-	for _, p := range parts {
-		out.Births += p.Births
-		out.Deaths += p.Deaths
-		out.EndSurplus += p.EndSurplus
-		for i := range p.BirthCause {
-			out.BirthCause[i] += p.BirthCause[i]
+// Merge folds other's mid-stream state into s, as if other's ops had
+// followed s's: counters and lifetime samples sum, and per-file births,
+// sizes and name bindings take other's entries. Every counter is an
+// integer and the lifetime CDF merges by sample union, so merging the
+// streams of a by-handle partition equals one stream over every op.
+// Birth tables are taken over, not copied. Both streams must share one
+// window.
+func (s *BlockLifeStream) Merge(other *BlockLifeStream) {
+	s.st.res.add(&other.st.res)
+	mergeFiles(&other.st, func(core.FH) *blockLifeState { return &s.st })
+}
+
+// PruneNames drops the name bindings keep rejects. The pipeline prunes
+// a merged stream on encode so only bindings the global op order still
+// agrees with are serialized.
+func (s *BlockLifeStream) PruneNames(keep func(dir core.FH, name string, child core.FH) bool) {
+	for nb, fh := range s.st.names {
+		if !keep(nb.dir, nb.name, fh) {
+			delete(s.st.names, nb)
 		}
-		for i := range p.DeathCause {
-			out.DeathCause[i] += p.DeathCause[i]
-		}
-		out.Lifetimes.Merge(p.Lifetimes)
 	}
-	return out
+}
+
+func (r *BlockLifeResult) add(o *BlockLifeResult) {
+	r.Births += o.Births
+	r.Deaths += o.Deaths
+	r.EndSurplus += o.EndSurplus
+	for i := range o.BirthCause {
+		r.BirthCause[i] += o.BirthCause[i]
+	}
+	for i := range o.DeathCause {
+		r.DeathCause[i] += o.DeathCause[i]
+	}
+	r.Lifetimes.Merge(o.Lifetimes)
+}
+
+// mergeFiles folds o's per-file state into the states dst names: birth
+// tables (taken over when the destination has none for the file),
+// sizes, and name bindings, which follow the bound child.
+func mergeFiles(o *blockLifeState, dst func(core.FH) *blockLifeState) {
+	for fh, blocks := range o.births {
+		d := dst(fh)
+		if m, ok := d.births[fh]; ok {
+			for b, t := range blocks {
+				m[b] = t
+			}
+		} else {
+			d.births[fh] = blocks
+		}
+	}
+	for fh, size := range o.sizes {
+		dst(fh).sizes[fh] = size
+	}
+	for nb, fh := range o.names {
+		dst(fh).names[nb] = fh
+	}
 }
 
 // BlockLife runs the create-based analysis over a materialized op
@@ -179,7 +215,7 @@ func BlockLife(ops []*core.Op, start, phase, margin float64) *BlockLifeResult {
 		if op.T >= s.end {
 			break
 		}
-		s.Consume(op)
+		s.Add(op)
 	}
 	return s.Result()
 }
@@ -329,6 +365,11 @@ func (st *blockLifeState) death(fh core.FH, b int64, t float64, cause int) {
 		return // born before Phase 1; not tracked
 	}
 	delete(m, b)
+	if len(m) == 0 {
+		// No empty tables: a serialized state then decodes to the same
+		// map it was encoded from.
+		delete(st.births, fh)
+	}
 	life := t - born
 	if life > st.margin {
 		// Discard to remove sampling bias (§5.2).

@@ -128,7 +128,7 @@ func accessMapCloneable(m AccessMap) cloneable {
 
 func blockLifeCloneable(s *BlockLifeStream) cloneable {
 	return cloneable{
-		feed:  s.Consume,
+		feed:  s.Add,
 		clone: func() cloneable { return blockLifeCloneable(s.Clone()) },
 		// Result finalizes, so fingerprint a throwaway clone — which is
 		// exactly how cmd/nfsmond serves mid-stream views.
@@ -159,7 +159,7 @@ func mailboxCloneable(m *MailboxShare) cloneable {
 
 func namesCloneable(n *NamesStream) cloneable {
 	return cloneable{
-		feed:  n.Consume,
+		feed:  n.Add,
 		clone: func() cloneable { return namesCloneable(n.Clone()) },
 		fp: func() string {
 			rep := n.Report(100)
@@ -176,11 +176,11 @@ func namesCloneable(n *NamesStream) cloneable {
 
 func hierarchyCloneable(h *Hierarchy) cloneable {
 	return cloneable{
-		feed:  h.Observe,
+		feed:  h.Add,
 		clone: func() cloneable { return hierarchyCloneable(h.Clone()) },
 		fp: func() string {
 			var b strings.Builder
-			fmt.Fprintf(&b, "cov=%v", h.Coverage())
+			fmt.Fprintf(&b, "cov=%v warm=%v", h.Coverage(), h.WarmCoverage())
 			for i := 0; i < 5; i++ {
 				fh := core.InternFH(fmt.Sprintf("f%d", i))
 				fmt.Fprintf(&b, " %v:%v", fh, h.Known(fh))
@@ -205,7 +205,7 @@ func TestCloneIndependence(t *testing.T) {
 		{"peakhour", func() cloneable { return peakHourCloneable(NewPeakHourInstances(0, 100)) }},
 		{"mailbox", func() cloneable { return mailboxCloneable(NewMailboxShare()) }},
 		{"names", func() cloneable { return namesCloneable(NewNamesStream()) }},
-		{"hierarchy", func() cloneable { return hierarchyCloneable(NewHierarchy()) }},
+		{"hierarchy", func() cloneable { return hierarchyCloneable(NewHierarchy(10)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,5 +280,20 @@ func TestAccessMapCloneCapTrick(t *testing.T) {
 	}
 	if cp[fh][1].T != 2 {
 		t.Fatalf("clone element mutated: %+v", cp[fh][1])
+	}
+
+	// Both sides appending into spare capacity: the original's list has
+	// room past the clone point, so an uncapped clone would write its
+	// next access into the array the original appends to as well.
+	m.Add(rd(4, 24576))
+	m.Add(rd(5, 32768))
+	cp = m.Clone()
+	if cap(m[fh]) == len(m[fh]) {
+		t.Fatalf("want spare capacity in the original's list (len %d cap %d)", len(m[fh]), cap(m[fh]))
+	}
+	cp.Add(rd(6, 40960))
+	m.Add(rd(7, 49152))
+	if got := cp[fh][len(cp[fh])-1].T; got != 6 {
+		t.Fatalf("clone's own append overwritten by the original's: last access at t=%v", got)
 	}
 }

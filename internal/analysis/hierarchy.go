@@ -24,25 +24,45 @@ type Hierarchy struct {
 	// had that handle already resolvable to a path.
 	resolvable int64
 	total      int64
+
+	// The same counters over the ops from warmup seconds after the
+	// first op on: the reconstruction's steady-state coverage.
+	warmup                    float64
+	started                   bool
+	start                     float64
+	warmResolvable, warmTotal int64
 }
 
-// NewHierarchy returns an empty namespace model.
-func NewHierarchy() *Hierarchy {
+// NewHierarchy returns an empty namespace model whose warm-up coverage
+// counts ops from warmup seconds after the first one.
+func NewHierarchy(warmup float64) *Hierarchy {
 	return &Hierarchy{
 		parent: make(map[core.FH]nameBinding),
 		byEdge: make(map[nameBinding]core.FH),
 		known:  make(map[core.FH]bool),
+		warmup: warmup,
 	}
 }
 
-// Observe feeds one op through the reconstruction, updating edges and
+// Add feeds one op through the reconstruction, updating edges and
 // coverage statistics. Ops must be fed in trace order.
-func (h *Hierarchy) Observe(op *core.Op) {
+func (h *Hierarchy) Add(op *core.Op) {
+	if !h.started {
+		h.start = op.T + h.warmup
+		h.started = true
+	}
 	// Coverage check first: is this op's handle already placeable?
 	if op.FH != 0 {
+		known := h.known[op.FH]
 		h.total++
-		if h.known[op.FH] {
+		if known {
 			h.resolvable++
+		}
+		if op.T >= h.start {
+			h.warmTotal++
+			if known {
+				h.warmResolvable++
+			}
 		}
 	}
 	switch op.Proc {
@@ -132,30 +152,46 @@ func (h *Hierarchy) Coverage() float64 {
 	return float64(h.resolvable) / float64(h.total)
 }
 
+// WarmCoverage reports Coverage over the ops past the warm-up.
+func (h *Hierarchy) WarmCoverage() float64 {
+	if h.warmTotal == 0 {
+		return 0
+	}
+	return float64(h.warmResolvable) / float64(h.warmTotal)
+}
+
 // Edges reports the number of known parent edges.
 func (h *Hierarchy) Edges() int { return len(h.parent) }
+
+// Merge folds other into h, as if h's stream had continued with
+// other's: edges and known handles take other's entries, counters sum,
+// and the warm-up clock keeps h's start if it has one.
+func (h *Hierarchy) Merge(other *Hierarchy) {
+	for fh, e := range other.parent {
+		h.parent[fh] = e
+	}
+	for e, fh := range other.byEdge {
+		h.byEdge[e] = fh
+	}
+	for fh := range other.known {
+		h.known[fh] = true
+	}
+	h.resolvable += other.resolvable
+	h.total += other.total
+	if !h.started {
+		h.started, h.start = other.started, other.start
+	}
+	h.warmResolvable += other.warmResolvable
+	h.warmTotal += other.warmTotal
+}
 
 // CoverageAfterWarmup runs the reconstruction over ops, ignoring the
 // first warmup seconds, and returns the post-warmup coverage — the
 // paper's claim is that this approaches 1 within minutes.
 func CoverageAfterWarmup(ops []*core.Op, warmup float64) float64 {
-	if len(ops) == 0 {
-		return 0
-	}
-	start := ops[0].T + warmup
-	h := NewHierarchy()
-	var resolvable, total int64
+	h := NewHierarchy(warmup)
 	for _, op := range ops {
-		if op.T >= start && op.FH != 0 {
-			total++
-			if h.known[op.FH] {
-				resolvable++
-			}
-		}
-		h.Observe(op)
+		h.Add(op)
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(resolvable) / float64(total)
+	return h.WarmCoverage()
 }

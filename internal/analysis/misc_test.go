@@ -180,7 +180,7 @@ func TestTopNames(t *testing.T) {
 }
 
 func TestHierarchyReconstruction(t *testing.T) {
-	h := NewHierarchy()
+	h := NewHierarchy(0)
 	ops := []*core.Op{
 		{Proc: core.MustProc("lookup"), FH: core.InternFH("root"), Name: "home", NewFH: core.InternFH("home"), Replied: true},
 		{Proc: core.MustProc("lookup"), FH: core.InternFH("home"), Name: "u1", NewFH: core.InternFH("u1dir"), Replied: true},
@@ -188,7 +188,7 @@ func TestHierarchyReconstruction(t *testing.T) {
 		{Proc: core.MustProc("read"), FH: core.InternFH("mbox"), Replied: true},
 	}
 	for _, op := range ops {
-		h.Observe(op)
+		h.Add(op)
 	}
 	path, ok := h.Path(core.InternFH("mbox"))
 	if !ok || path != "[root]/home/u1/inbox" {
@@ -199,14 +199,14 @@ func TestHierarchyReconstruction(t *testing.T) {
 	}
 
 	// Rename moves the edge.
-	h.Observe(&core.Op{Proc: core.MustProc("rename"), FH: core.InternFH("u1dir"), Name: "inbox",
+	h.Add(&core.Op{Proc: core.MustProc("rename"), FH: core.InternFH("u1dir"), Name: "inbox",
 		FH2: core.InternFH("u1dir"), Name2: "mbox-old", Replied: true})
 	path, _ = h.Path(core.InternFH("mbox"))
 	if path != "[root]/home/u1/mbox-old" {
 		t.Fatalf("after rename: %q", path)
 	}
 	// Remove drops it.
-	h.Observe(&core.Op{Proc: core.MustProc("remove"), FH: core.InternFH("u1dir"), Name: "mbox-old", Replied: true})
+	h.Add(&core.Op{Proc: core.MustProc("remove"), FH: core.InternFH("u1dir"), Name: "mbox-old", Replied: true})
 	if _, ok := h.Path(core.InternFH("mbox")); ok {
 		if p, _ := h.Path(core.InternFH("mbox")); p == "[root]/home/u1/mbox-old" {
 			t.Fatal("edge survived remove")
@@ -219,15 +219,15 @@ func TestHierarchyReconstruction(t *testing.T) {
 // on its old name must not disturb the child's current placement — the
 // reverse index must not trust a stale entry.
 func TestHierarchyRebindStaleIndex(t *testing.T) {
-	h := NewHierarchy()
+	h := NewHierarchy(0)
 	look := func(dir, name, child string) {
-		h.Observe(&core.Op{Proc: core.ProcLookup, Replied: true,
+		h.Add(&core.Op{Proc: core.ProcLookup, Replied: true,
 			FH: core.InternFH(dir), Name: name, NewFH: core.InternFH(child)})
 	}
 	look("d1", "a", "f-rebind")
 	look("d2", "b", "f-rebind") // f re-binds: its current edge is (d2, b)
 	// Removing the stale (d1, a) name must leave f placed under d2.
-	h.Observe(&core.Op{Proc: core.ProcRemove, Replied: true,
+	h.Add(&core.Op{Proc: core.ProcRemove, Replied: true,
 		FH: core.InternFH("d1"), Name: "a"})
 	path, ok := h.Path(core.InternFH("f-rebind"))
 	if !ok || path != "[d2]/b" {
@@ -236,7 +236,7 @@ func TestHierarchyRebindStaleIndex(t *testing.T) {
 	// Renaming via the stale name must not move f either.
 	look("d1", "a", "f-rebind")
 	look("d2", "c", "f-rebind")
-	h.Observe(&core.Op{Proc: core.ProcRename, Replied: true,
+	h.Add(&core.Op{Proc: core.ProcRename, Replied: true,
 		FH: core.InternFH("d1"), Name: "a",
 		FH2: core.InternFH("d3"), Name2: "z"})
 	if path, _ := h.Path(core.InternFH("f-rebind")); path != "[d2]/c" {

@@ -138,7 +138,7 @@ func lifeClass(life float64) int {
 }
 
 // NamesStream is the incremental form of AnalyzeNames: feed it
-// time-ordered operations with Consume, then build the report with
+// time-ordered operations with Add, then build the report with
 // Report once the window end is known. Finished instances fold into
 // per-category aggregates as they die, so the live state is just the
 // open instances and the name map — which is what makes the stream's
@@ -197,6 +197,26 @@ func (a *namesAgg) fold(fl *fileLife) {
 	}
 }
 
+// merge folds o's reductions into a.
+func (a *namesAgg) merge(o *namesAgg) {
+	for c := range a.created {
+		a.created[c] += o.created[c]
+		a.deleted[c] += o.deleted[c]
+		a.readOps[c] += o.readOps[c]
+		a.writeOps[c] += o.writeOps[c]
+		a.lifetimes[c].Merge(o.lifetimes[c])
+		a.sizes[c].Merge(o.sizes[c])
+		for j := range a.sizeHist[c] {
+			a.sizeHist[c][j] += o.sizeHist[c][j]
+		}
+		for j := range a.lifeHist[c] {
+			a.lifeHist[c][j] += o.lifeHist[c][j]
+		}
+	}
+	a.lockDeleted += o.lockDeleted
+	a.totalDeleted += o.totalDeleted
+}
+
 // NewNamesStream returns an empty stream.
 func NewNamesStream() *NamesStream {
 	return &NamesStream{
@@ -206,9 +226,9 @@ func NewNamesStream() *NamesStream {
 	}
 }
 
-// Consume folds one operation into the stream. Ops must arrive in time
+// Add folds one operation into the stream. Ops must arrive in time
 // order.
-func (n *NamesStream) Consume(op *core.Op) {
+func (n *NamesStream) Add(op *core.Op) {
 	key := func(dir core.FH, name string) nameBinding { return nameBinding{dir, name} }
 	switch op.Proc {
 	case core.ProcCreate, core.ProcMkdir, core.ProcSymlink:
@@ -266,24 +286,26 @@ func (n *NamesStream) Consume(op *core.Op) {
 	}
 }
 
+// Merge folds other into n, as if n's stream had continued with
+// other's: open instances and name bindings take other's entries (the
+// instances are taken over, not copied), and the aggregates sum.
+func (n *NamesStream) Merge(other *NamesStream) {
+	for fh, fl := range other.lives {
+		n.lives[fh] = fl
+	}
+	for nb, fh := range other.names {
+		n.names[nb] = fh
+	}
+	n.agg.merge(&other.agg)
+}
+
 // Report builds the §6.3 report as of windowEnd: instances still alive
 // count as created (not deleted) with their current max size. The
 // stream itself is left untouched — Report folds the open instances
 // into a copy of the aggregate, so it can be called mid-stream.
 func (n *NamesStream) Report(windowEnd float64) *NameReport {
 	agg := newNamesAgg()
-	for c := 0; c < int(numCategories); c++ {
-		agg.created[c] = n.agg.created[c]
-		agg.deleted[c] = n.agg.deleted[c]
-		agg.readOps[c] = n.agg.readOps[c]
-		agg.writeOps[c] = n.agg.writeOps[c]
-		agg.lifetimes[c] = n.agg.lifetimes[c].Clone()
-		agg.sizes[c] = n.agg.sizes[c].Clone()
-		agg.sizeHist[c] = n.agg.sizeHist[c]
-		agg.lifeHist[c] = n.agg.lifeHist[c]
-	}
-	agg.lockDeleted = n.agg.lockDeleted
-	agg.totalDeleted = n.agg.totalDeleted
+	agg.merge(&n.agg)
 	for _, fl := range n.lives {
 		end := *fl
 		end.died = windowEnd
@@ -334,7 +356,7 @@ func (n *NamesStream) Report(windowEnd float64) *NameReport {
 func AnalyzeNames(ops []*core.Op, windowEnd float64) *NameReport {
 	n := NewNamesStream()
 	for _, op := range ops {
-		n.Consume(op)
+		n.Add(op)
 	}
 	return n.Report(windowEnd)
 }

@@ -59,6 +59,25 @@ func (m AccessMap) Add(op *core.Op) {
 	})
 }
 
+// Merge appends other's per-file lists to m's, as if other's accesses
+// had followed m's. Lists m lacks are taken over, not copied.
+func (m AccessMap) Merge(other AccessMap) {
+	for fh, accs := range other {
+		m.adopt(fh, accs)
+	}
+}
+
+// adopt appends accs to fh's list, taking the slice over when m has
+// none. Access lists are append-only, and a cloned list is capped at
+// its length, so a taken-over list never writes into another map's view.
+func (m AccessMap) adopt(fh core.FH, accs []Access) {
+	if cur, ok := m[fh]; ok {
+		m[fh] = append(cur, accs...)
+	} else {
+		m[fh] = accs
+	}
+}
+
 // FileAccesses groups every data access by file handle, in trace order.
 func FileAccesses(ops []*core.Op) map[core.FH][]Access {
 	m := make(AccessMap)

@@ -1,16 +1,39 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"repro/internal/core"
 	"repro/internal/state"
 	"repro/internal/stats"
 )
 
-// Binary encode/decode of each reducer's partial state, symmetric to
-// its Merge form: DecodeState folds the serialized partial into the
-// receiver exactly as Merge would fold a live one. File handles and
-// procedures go through the state package's dictionaries, so interned
-// IDs survive process boundaries.
+// The reducer contract. Every reduction the pipeline shards (Summary,
+// HourlySeries, AccessMap, BlockLifeStream, PeakHourInstances,
+// MailboxShare, Hierarchy, NamesStream) has the same six methods:
+//
+//   - Add folds one operation in.
+//   - Clone returns an independent deep copy (clone.go).
+//   - Merge folds another reducer of the same configuration in, as if
+//     its operations had followed the receiver's. It may take over the
+//     other reducer's per-file storage instead of copying it, so the
+//     other must not be used afterwards.
+//   - DistributeState is Merge split by file: it folds the receiver
+//     into shard-local reducers, each file's state into the part
+//     shardOf names and stream-wide sums into parts[0]. It takes over
+//     the receiver's storage the same way.
+//   - EncodeState and DecodeState below: DecodeState folds a
+//     serialized partial into the receiver exactly as Merge folds a
+//     live one.
+//
+// Encoders emit map entries sorted by interned handle ID, and name
+// bindings by (directory, name), so two encodes of one state are byte
+// for byte the same within a process. (Handle IDs follow intern order,
+// so the bytes may differ across processes; decoders do not depend on
+// entry order.) File handles and procedures go through the state
+// package's dictionaries, so interned IDs survive process boundaries.
 //
 // Decoding validates semantic invariants (config match, index ranges)
 // through Decoder.Failf; a hostile payload leaves the decoder in its
@@ -22,6 +45,31 @@ import (
 // hostile index could demand gigabytes. 2^20 hour-buckets is over a
 // century of trace.
 const maxBucketIndex = 1 << 20
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// sortedBindings returns m's keys ordered by (directory, name).
+func sortedBindings[V any](m map[nameBinding]V) []nameBinding {
+	keys := make([]nameBinding, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b nameBinding) int {
+		if c := cmp.Compare(a.dir, b.dir); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	return keys
+}
 
 func encodeCDF(e *state.Encoder, c *stats.CDF) {
 	samples := c.Samples()
@@ -118,6 +166,9 @@ func (s *Summary) DecodeState(d *state.Decoder) {
 	}
 }
 
+// DistributeState folds s into parts[0]: a summary is pure sums.
+func (s *Summary) DistributeState(parts []*Summary, _ func(core.FH) int) { parts[0].Merge(s) }
+
 // EncodeState serializes the five hourly series as sparse buckets.
 // Bucket indexes are anchored at t=0, so the open and fixed forms
 // serialize identically.
@@ -140,10 +191,16 @@ func (h *HourlySeries) DecodeState(d *state.Decoder) {
 	decodeBuckets(d, h.BytesWrite)
 }
 
+// DistributeState folds h into parts[0]: buckets are pure sums.
+func (h *HourlySeries) DistributeState(parts []*HourlySeries, _ func(core.FH) int) {
+	parts[0].Merge(h)
+}
+
 // EncodeState serializes the per-file access lists.
 func (m AccessMap) EncodeState(e *state.Encoder) {
 	e.Uvarint(uint64(len(m)))
-	for fh, accs := range m {
+	for _, fh := range sortedKeys(m) {
+		accs := m[fh]
 		e.FH(fh)
 		e.Uvarint(uint64(len(accs)))
 		for _, a := range accs {
@@ -203,24 +260,43 @@ func (s *BlockLifeStream) EncodeState(e *state.Encoder) {
 	encodeCDF(e, s.st.res.Lifetimes)
 
 	e.Uvarint(uint64(len(s.st.births)))
-	for fh, blocks := range s.st.births {
+	for _, fh := range sortedKeys(s.st.births) {
+		blocks := s.st.births[fh]
 		e.FH(fh)
 		e.Uvarint(uint64(len(blocks)))
-		for b, t := range blocks {
+		for _, b := range sortedKeys(blocks) {
 			e.Varint(b)
-			e.F64(t)
+			e.F64(blocks[b])
 		}
 	}
 	e.Uvarint(uint64(len(s.st.sizes)))
-	for fh, size := range s.st.sizes {
+	for _, fh := range sortedKeys(s.st.sizes) {
 		e.FH(fh)
-		e.Uvarint(size)
+		e.Uvarint(s.st.sizes[fh])
 	}
-	e.Uvarint(uint64(len(s.st.names)))
-	for nb, fh := range s.st.names {
+	encodeBindings(e, s.st.names)
+}
+
+// encodeBindings writes a (dir, name) → handle map in binding order.
+func encodeBindings(e *state.Encoder, m map[nameBinding]core.FH) {
+	e.Uvarint(uint64(len(m)))
+	for _, nb := range sortedBindings(m) {
 		e.FH(nb.dir)
 		e.String(nb.name)
-		e.FH(fh)
+		e.FH(m[nb])
+	}
+}
+
+// decodeBindings folds an encodeBindings map into m.
+func decodeBindings(d *state.Decoder, m map[nameBinding]core.FH) {
+	n := d.Count("name binding count")
+	for i := 0; i < n && d.Err() == nil; i++ {
+		dir := d.FH()
+		name := d.String("name")
+		fh := d.FH()
+		if d.Err() == nil {
+			m[nameBinding{dir, name}] = fh
+		}
 	}
 }
 
@@ -282,99 +358,26 @@ func (s *BlockLifeStream) DecodeState(d *state.Decoder) {
 			s.st.sizes[fh] = size
 		}
 	}
-	nn := d.Count("name binding count")
-	for i := 0; i < nn && d.Err() == nil; i++ {
-		dir := d.FH()
-		name := d.String("name")
-		fh := d.FH()
-		if d.Err() == nil {
-			s.st.names[nameBinding{dir, name}] = fh
-		}
-	}
+	decodeBindings(d, s.st.names)
 }
 
-// DistributeState spreads m's per-file lists across shard-local maps,
-// appending each file's accesses to the part shardOf assigns it — the
-// inverse of the union an encoder builds, so a resumed multi-shard run
-// places every file's history on the shard its future ops will route to.
+// DistributeState folds m's per-file lists into the shard-local maps
+// shardOf names, taking the lists over: the inverse of the union an
+// encoder writes, so a resumed multi-shard run places every file's
+// history on the shard its future ops route to.
 func (m AccessMap) DistributeState(parts []AccessMap, shardOf func(core.FH) int) {
 	for fh, accs := range m {
-		p := parts[shardOf(fh)]
-		p[fh] = append(p[fh], accs...)
+		parts[shardOf(fh)].adopt(fh, accs)
 	}
 }
 
-// MergeStateInto folds s's mid-stream state into dst: result counters
-// and lifetime samples sum, live births and tracked sizes union (keys
-// are disjoint across shards), and name bindings copy when keepName
-// accepts them. A nil keepName keeps every binding; the pipeline passes
-// a router-consistency filter so bindings a shard saw but the global
-// order later rebound do not leak into the serialized state.
-func (s *BlockLifeStream) MergeStateInto(dst *BlockLifeStream, keepName func(dir core.FH, name string, child core.FH) bool) {
-	dst.st.res.Births += s.st.res.Births
-	for i, c := range s.st.res.BirthCause {
-		dst.st.res.BirthCause[i] += c
-	}
-	dst.st.res.Deaths += s.st.res.Deaths
-	for i, c := range s.st.res.DeathCause {
-		dst.st.res.DeathCause[i] += c
-	}
-	dst.st.res.EndSurplus += s.st.res.EndSurplus
-	dst.st.res.Lifetimes.Merge(s.st.res.Lifetimes)
-	for fh, blocks := range s.st.births {
-		m := dst.st.births[fh]
-		if m == nil {
-			m = make(map[int64]float64, len(blocks))
-			dst.st.births[fh] = m
-		}
-		for b, t := range blocks {
-			m[b] = t
-		}
-	}
-	for fh, size := range s.st.sizes {
-		dst.st.sizes[fh] = size
-	}
-	for nb, fh := range s.st.names {
-		if keepName == nil || keepName(nb.dir, nb.name, fh) {
-			dst.st.names[nb] = fh
-		}
-	}
-}
-
-// DistributeState spreads s's decoded state across shard-local streams:
-// births and sizes go to the shard owning their file handle, name
-// bindings to the shard owning the bound child (the router delivers
-// removes there), and the scalar counters to parts[0] — Result merges
-// all parts, so placement of pure sums is arbitrary.
+// DistributeState folds s into shard-local streams: births and sizes
+// go to the shard owning their file, name bindings to the shard owning
+// the bound child (the router delivers removes there), and the
+// stream-wide counters to parts[0].
 func (s *BlockLifeStream) DistributeState(parts []*BlockLifeStream, shardOf func(core.FH) int) {
-	dst0 := parts[0]
-	dst0.st.res.Births += s.st.res.Births
-	for i, c := range s.st.res.BirthCause {
-		dst0.st.res.BirthCause[i] += c
-	}
-	dst0.st.res.Deaths += s.st.res.Deaths
-	for i, c := range s.st.res.DeathCause {
-		dst0.st.res.DeathCause[i] += c
-	}
-	dst0.st.res.EndSurplus += s.st.res.EndSurplus
-	dst0.st.res.Lifetimes.Merge(s.st.res.Lifetimes)
-	for fh, blocks := range s.st.births {
-		dst := parts[shardOf(fh)]
-		m := dst.st.births[fh]
-		if m == nil {
-			m = make(map[int64]float64, len(blocks))
-			dst.st.births[fh] = m
-		}
-		for b, t := range blocks {
-			m[b] = t
-		}
-	}
-	for fh, size := range s.st.sizes {
-		parts[shardOf(fh)].st.sizes[fh] = size
-	}
-	for nb, fh := range s.st.names {
-		parts[shardOf(fh)].st.names[nb] = fh
-	}
+	parts[0].st.res.add(&s.st.res)
+	mergeFiles(&s.st, func(fh core.FH) *blockLifeState { return &parts[shardOf(fh)].st })
 }
 
 // EncodeState serializes the peak-hour window, category map, and
@@ -383,13 +386,28 @@ func (p *PeakHourInstances) EncodeState(e *state.Encoder) {
 	e.F64(p.From)
 	e.F64(p.To)
 	e.Uvarint(uint64(len(p.cat)))
-	for fh, c := range p.cat {
+	for _, fh := range sortedKeys(p.cat) {
 		e.FH(fh)
-		e.Uvarint(uint64(c))
+		e.Uvarint(uint64(p.cat[fh]))
 	}
-	e.Uvarint(uint64(len(p.instances)))
-	for fh := range p.instances {
+	encodeSet(e, p.instances)
+}
+
+// encodeSet writes a handle set in handle order.
+func encodeSet(e *state.Encoder, set map[core.FH]bool) {
+	e.Uvarint(uint64(len(set)))
+	for _, fh := range sortedKeys(set) {
 		e.FH(fh)
+	}
+}
+
+// decodeSet folds an encodeSet set into set.
+func decodeSet(d *state.Decoder, set map[core.FH]bool, what string) {
+	n := d.Count(what)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		if fh := d.FH(); d.Err() == nil {
+			set[fh] = true
+		}
 	}
 }
 
@@ -418,24 +436,7 @@ func (p *PeakHourInstances) DecodeState(d *state.Decoder) {
 			p.cat[fh] = NameCategory(c)
 		}
 	}
-	ni := d.Count("instance count")
-	for i := 0; i < ni && d.Err() == nil; i++ {
-		fh := d.FH()
-		if d.Err() == nil {
-			p.instances[fh] = true
-		}
-	}
-}
-
-// MergeStateInto folds p's maps into dst. Handles partition by shard,
-// so the union is exact.
-func (p *PeakHourInstances) MergeStateInto(dst *PeakHourInstances) {
-	for fh, c := range p.cat {
-		dst.cat[fh] = c
-	}
-	for fh := range p.instances {
-		dst.instances[fh] = true
-	}
+	decodeSet(d, p.instances, "instance count")
 }
 
 // DistributeState spreads p's decoded maps across shard-local
@@ -452,36 +453,20 @@ func (p *PeakHourInstances) DistributeState(parts []*PeakHourInstances, shardOf 
 // EncodeState serializes the mailbox/large-file handle sets and
 // per-file byte counts.
 func (m *MailboxShare) EncodeState(e *state.Encoder) {
-	e.Uvarint(uint64(len(m.mailboxFH)))
-	for fh := range m.mailboxFH {
-		e.FH(fh)
-	}
-	e.Uvarint(uint64(len(m.big)))
-	for fh := range m.big {
-		e.FH(fh)
-	}
+	encodeSet(e, m.mailboxFH)
+	encodeSet(e, m.big)
 	e.Uvarint(uint64(len(m.bytes)))
-	for fh, n := range m.bytes {
+	for _, fh := range sortedKeys(m.bytes) {
 		e.FH(fh)
-		e.Uvarint(n)
+		e.Uvarint(m.bytes[fh])
 	}
 }
 
 // DecodeState folds a serialized mailbox-share partial into m: handle
 // sets union, byte counts sum.
 func (m *MailboxShare) DecodeState(d *state.Decoder) {
-	nm := d.Count("mailbox handle count")
-	for i := 0; i < nm && d.Err() == nil; i++ {
-		if fh := d.FH(); d.Err() == nil {
-			m.mailboxFH[fh] = true
-		}
-	}
-	nb := d.Count("big handle count")
-	for i := 0; i < nb && d.Err() == nil; i++ {
-		if fh := d.FH(); d.Err() == nil {
-			m.big[fh] = true
-		}
-	}
+	decodeSet(d, m.mailboxFH, "mailbox handle count")
+	decodeSet(d, m.big, "big handle count")
 	ny := d.Count("byte entry count")
 	for i := 0; i < ny && d.Err() == nil; i++ {
 		fh := d.FH()
@@ -489,20 +474,6 @@ func (m *MailboxShare) DecodeState(d *state.Decoder) {
 		if d.Err() == nil {
 			m.bytes[fh] += n
 		}
-	}
-}
-
-// MergeStateInto folds m's sets and counts into dst: sets union, byte
-// counts sum.
-func (m *MailboxShare) MergeStateInto(dst *MailboxShare) {
-	for fh := range m.mailboxFH {
-		dst.mailboxFH[fh] = true
-	}
-	for fh := range m.big {
-		dst.big[fh] = true
-	}
-	for fh, n := range m.bytes {
-		dst.bytes[fh] += n
 	}
 }
 
@@ -520,34 +491,44 @@ func (m *MailboxShare) DistributeState(parts []*MailboxShare, shardOf func(core.
 	}
 }
 
-// EncodeState serializes the reconstructed namespace: parent edges, the
-// reverse index exactly as it stands (stale entries and all — resolve's
-// repair path depends on the index state, so a faithful copy keeps the
-// resumed run deterministic), the known-handle set, and the coverage
-// counters.
+// EncodeState serializes the reconstructed namespace: the warm-up
+// clock and post-warm-up counters, parent edges, the reverse index
+// exactly as it stands (stale entries and all: resolve's repair path
+// depends on the index state, so a faithful copy keeps the resumed run
+// deterministic), the known-handle set, and the all-ops counters.
 func (h *Hierarchy) EncodeState(e *state.Encoder) {
+	e.F64(h.warmup)
+	e.Bool(h.started)
+	e.F64(h.start)
+	e.Varint(h.warmResolvable)
+	e.Varint(h.warmTotal)
 	e.Uvarint(uint64(len(h.parent)))
-	for fh, nb := range h.parent {
+	for _, fh := range sortedKeys(h.parent) {
 		e.FH(fh)
-		e.FH(nb.dir)
-		e.String(nb.name)
+		e.FH(h.parent[fh].dir)
+		e.String(h.parent[fh].name)
 	}
-	e.Uvarint(uint64(len(h.byEdge)))
-	for nb, fh := range h.byEdge {
-		e.FH(nb.dir)
-		e.String(nb.name)
-		e.FH(fh)
-	}
-	e.Uvarint(uint64(len(h.known)))
-	for fh := range h.known {
-		e.FH(fh)
-	}
+	encodeBindings(e, h.byEdge)
+	encodeSet(e, h.known)
 	e.Varint(h.resolvable)
 	e.Varint(h.total)
 }
 
-// DecodeState folds a serialized namespace into h.
+// DecodeState folds a serialized namespace into h. The warm-up must
+// match; the clock keeps the receiver's start if it has one (it started
+// with the first op of the whole stream, not of this piece).
 func (h *Hierarchy) DecodeState(d *state.Decoder) {
+	warmup := d.F64()
+	if d.Err() == nil && warmup != h.warmup {
+		d.Failf("hierarchy warmup %vs does not match receiver's %vs", warmup, h.warmup)
+		return
+	}
+	started, start := d.Bool(), d.F64()
+	if !h.started {
+		h.started, h.start = started, start
+	}
+	h.warmResolvable += d.Varint()
+	h.warmTotal += d.Varint()
 	np := d.Count("parent edge count")
 	for i := 0; i < np && d.Err() == nil; i++ {
 		fh := d.FH()
@@ -557,24 +538,15 @@ func (h *Hierarchy) DecodeState(d *state.Decoder) {
 			h.parent[fh] = nameBinding{dir, name}
 		}
 	}
-	ne := d.Count("edge index count")
-	for i := 0; i < ne && d.Err() == nil; i++ {
-		dir := d.FH()
-		name := d.String("edge name")
-		fh := d.FH()
-		if d.Err() == nil {
-			h.byEdge[nameBinding{dir, name}] = fh
-		}
-	}
-	nk := d.Count("known handle count")
-	for i := 0; i < nk && d.Err() == nil; i++ {
-		if fh := d.FH(); d.Err() == nil {
-			h.known[fh] = true
-		}
-	}
+	decodeBindings(d, h.byEdge)
+	decodeSet(d, h.known, "known handle count")
 	h.resolvable += d.Varint()
 	h.total += d.Varint()
 }
+
+// DistributeState folds h into parts[0]: the namespace is global, so
+// the pipeline runs it on one shard.
+func (h *Hierarchy) DistributeState(parts []*Hierarchy, _ func(core.FH) int) { parts[0].Merge(h) }
 
 // EncodeState serializes the name-analysis stream: open instances, name
 // bindings, and the folded per-category aggregate.
@@ -582,7 +554,8 @@ func (n *NamesStream) EncodeState(e *state.Encoder) {
 	e.Uvarint(uint64(numCategories))
 
 	e.Uvarint(uint64(len(n.lives)))
-	for fh, fl := range n.lives {
+	for _, fh := range sortedKeys(n.lives) {
+		fl := n.lives[fh]
 		e.FH(fh)
 		e.String(fl.name)
 		e.Uvarint(uint64(fl.cat))
@@ -594,12 +567,7 @@ func (n *NamesStream) EncodeState(e *state.Encoder) {
 		e.Varint(fl.writes)
 		e.Bool(fl.readSeq)
 	}
-	e.Uvarint(uint64(len(n.names)))
-	for nb, fh := range n.names {
-		e.FH(nb.dir)
-		e.String(nb.name)
-		e.FH(fh)
-	}
+	encodeBindings(e, n.names)
 
 	for c := 0; c < int(numCategories); c++ {
 		e.Varint(n.agg.created[c])
@@ -653,15 +621,7 @@ func (n *NamesStream) DecodeState(d *state.Decoder) {
 			n.lives[fh] = fl
 		}
 	}
-	nn := d.Count("name binding count")
-	for i := 0; i < nn && d.Err() == nil; i++ {
-		dir := d.FH()
-		name := d.String("name")
-		fh := d.FH()
-		if d.Err() == nil {
-			n.names[nameBinding{dir, name}] = fh
-		}
-	}
+	decodeBindings(d, n.names)
 
 	for c := 0; c < int(numCategories) && d.Err() == nil; c++ {
 		n.agg.created[c] += d.Varint()
@@ -680,3 +640,7 @@ func (n *NamesStream) DecodeState(d *state.Decoder) {
 	n.agg.lockDeleted += d.Varint()
 	n.agg.totalDeleted += d.Varint()
 }
+
+// DistributeState folds n into parts[0]: the names stream is global, so
+// the pipeline runs it on one shard.
+func (n *NamesStream) DistributeState(parts []*NamesStream, _ func(core.FH) int) { parts[0].Merge(n) }

@@ -92,7 +92,7 @@ func stateCases() []struct {
 		}},
 		{"blocklife", func() stateHandle {
 			s := NewBlockLifeStream(0, 50, 50)
-			return stateHandle{s.Consume, s.EncodeState, s.DecodeState, blockLifeCloneable(s).fp}
+			return stateHandle{s.Add, s.EncodeState, s.DecodeState, blockLifeCloneable(s).fp}
 		}},
 		{"peakhour", func() stateHandle {
 			p := NewPeakHourInstances(0, 100)
@@ -103,12 +103,12 @@ func stateCases() []struct {
 			return stateHandle{m.Add, m.EncodeState, m.DecodeState, mailboxCloneable(m).fp}
 		}},
 		{"hierarchy", func() stateHandle {
-			h := NewHierarchy()
-			return stateHandle{h.Observe, h.EncodeState, h.DecodeState, hierarchyCloneable(h).fp}
+			h := NewHierarchy(10)
+			return stateHandle{h.Add, h.EncodeState, h.DecodeState, hierarchyCloneable(h).fp}
 		}},
 		{"names", func() stateHandle {
 			n := NewNamesStream()
-			return stateHandle{n.Consume, n.EncodeState, n.DecodeState, namesCloneable(n).fp}
+			return stateHandle{n.Add, n.EncodeState, n.DecodeState, namesCloneable(n).fp}
 		}},
 	}
 }
@@ -196,74 +196,66 @@ func TestStateDecodeFoldsLikeMerge(t *testing.T) {
 	}
 }
 
+// shardedReducer is the part of the reducer contract that splits and
+// recombines state across shards.
+type shardedReducer[R any] interface {
+	Add(*core.Op)
+	Merge(R)
+	DistributeState([]R, func(core.FH) int)
+}
+
+// distributeRebuilds checks that a reducer spread across two shards
+// with DistributeState and merged back with Merge equals the original.
+func distributeRebuilds[R shardedReducer[R]](t *testing.T, mk func() R, fp func(R) string) {
+	t.Helper()
+	whole := mk()
+	for _, op := range stateOps() {
+		whole.Add(op)
+	}
+	want := fp(whole)
+	parts := []R{mk(), mk()}
+	whole.DistributeState(parts, func(fh core.FH) int { return int(fh) % 2 })
+	rebuilt := mk()
+	for _, p := range parts {
+		rebuilt.Merge(p)
+	}
+	if got := fp(rebuilt); got != want {
+		t.Fatalf("distributed state does not rebuild the whole:\n--- rebuilt ---\n%s\n--- whole ---\n%s", got, want)
+	}
+}
+
 // TestStateDistributeRebuildsWhole pins the decode-side sharding: a
 // decoded partial spread across shard-local accumulators and merged
 // back equals the original.
 func TestStateDistributeRebuildsWhole(t *testing.T) {
-	ops := stateOps()
-	shardOf := func(fh core.FH) int { return int(fh) % 2 }
-
+	t.Run("summary", func(t *testing.T) {
+		distributeRebuilds(t, func() *Summary { return NewSummary(1) },
+			func(s *Summary) string { return summaryCloneable(s).fp() })
+	})
+	t.Run("hourly", func(t *testing.T) {
+		distributeRebuilds(t, NewHourlyOpen, func(h *HourlySeries) string { return hourlyCloneable(h).fp() })
+	})
 	t.Run("accessmap", func(t *testing.T) {
-		m := make(AccessMap)
-		for _, op := range ops {
-			m.Add(op)
-		}
-		parts := []AccessMap{make(AccessMap), make(AccessMap)}
-		m.DistributeState(parts, shardOf)
-		rebuilt := make(AccessMap)
-		for _, p := range parts {
-			for fh, accs := range p {
-				rebuilt[fh] = append(rebuilt[fh], accs...)
-			}
-		}
-		if accessMapCloneable(rebuilt).fp() != accessMapCloneable(m).fp() {
-			t.Fatalf("distributed access map does not rebuild the whole")
-		}
+		distributeRebuilds(t, func() AccessMap { return make(AccessMap) },
+			func(m AccessMap) string { return accessMapCloneable(m).fp() })
 	})
 	t.Run("blocklife", func(t *testing.T) {
-		s := NewBlockLifeStream(0, 50, 50)
-		for _, op := range ops {
-			s.Consume(op)
-		}
-		parts := []*BlockLifeStream{NewBlockLifeStream(0, 50, 50), NewBlockLifeStream(0, 50, 50)}
-		s.DistributeState(parts, shardOf)
-		rebuilt := NewBlockLifeStream(0, 50, 50)
-		for _, p := range parts {
-			p.MergeStateInto(rebuilt, nil)
-		}
-		if blockLifeCloneable(rebuilt).fp() != blockLifeCloneable(s).fp() {
-			t.Fatalf("distributed block-life state does not rebuild the whole")
-		}
+		distributeRebuilds(t, func() *BlockLifeStream { return NewBlockLifeStream(0, 50, 50) },
+			func(s *BlockLifeStream) string { return blockLifeCloneable(s).fp() })
 	})
 	t.Run("peakhour", func(t *testing.T) {
-		p := NewPeakHourInstances(0, 100)
-		for _, op := range ops {
-			p.Add(op)
-		}
-		parts := []*PeakHourInstances{NewPeakHourInstances(0, 100), NewPeakHourInstances(0, 100)}
-		p.DistributeState(parts, shardOf)
-		rebuilt := NewPeakHourInstances(0, 100)
-		for _, part := range parts {
-			part.MergeStateInto(rebuilt)
-		}
-		if peakHourCloneable(rebuilt).fp() != peakHourCloneable(p).fp() {
-			t.Fatalf("distributed peak-hour state does not rebuild the whole")
-		}
+		distributeRebuilds(t, func() *PeakHourInstances { return NewPeakHourInstances(0, 100) },
+			func(p *PeakHourInstances) string { return peakHourCloneable(p).fp() })
 	})
 	t.Run("mailbox", func(t *testing.T) {
-		m := NewMailboxShare()
-		for _, op := range ops {
-			m.Add(op)
-		}
-		parts := []*MailboxShare{NewMailboxShare(), NewMailboxShare()}
-		m.DistributeState(parts, shardOf)
-		rebuilt := NewMailboxShare()
-		for _, part := range parts {
-			part.MergeStateInto(rebuilt)
-		}
-		if mailboxCloneable(rebuilt).fp() != mailboxCloneable(m).fp() {
-			t.Fatalf("distributed mailbox state does not rebuild the whole")
-		}
+		distributeRebuilds(t, NewMailboxShare, func(m *MailboxShare) string { return mailboxCloneable(m).fp() })
+	})
+	t.Run("hierarchy", func(t *testing.T) {
+		distributeRebuilds(t, func() *Hierarchy { return NewHierarchy(10) },
+			func(h *Hierarchy) string { return hierarchyCloneable(h).fp() })
+	})
+	t.Run("names", func(t *testing.T) {
+		distributeRebuilds(t, NewNamesStream, func(n *NamesStream) string { return namesCloneable(n).fp() })
 	})
 }
 
@@ -309,7 +301,7 @@ func TestStateDecodeValidation(t *testing.T) {
 	t.Run("blocklife-finalized", func(t *testing.T) {
 		s := NewBlockLifeStream(0, 50, 50)
 		for _, op := range ops {
-			s.Consume(op)
+			s.Add(op)
 		}
 		s.Result()
 		blob := encodeSection(t, s.EncodeState)

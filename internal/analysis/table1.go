@@ -93,16 +93,15 @@ func (p *PeakHourInstances) Finish() PeakHourResult {
 	return r
 }
 
-// MergePeakHour sums per-shard results; instance sets partitioned by
-// handle are disjoint, so the sums equal a single-pass count.
-func MergePeakHour(parts ...PeakHourResult) PeakHourResult {
-	var out PeakHourResult
-	for _, p := range parts {
-		out.Instances += p.Instances
-		out.Locks += p.Locks
-		out.Mailboxes += p.Mailboxes
+// Merge folds other's category map and instance set into p. Later
+// name observations (other's) win, as they would in one pass.
+func (p *PeakHourInstances) Merge(other *PeakHourInstances) {
+	for fh, c := range other.cat {
+		p.cat[fh] = c
 	}
-	return out
+	for fh := range other.instances {
+		p.instances[fh] = true
+	}
 }
 
 // MailboxShare accumulates the data bytes moved per file alongside the
@@ -139,9 +138,22 @@ func (m *MailboxShare) Add(op *core.Op) {
 	}
 }
 
-// MailboxShareResult carries the per-shard sums; compute the final
-// share with MergeMailboxShare (a single accumulator merges with
-// itself alone).
+// Merge folds other's handle sets and byte counts into m: sets union,
+// counts sum.
+func (m *MailboxShare) Merge(other *MailboxShare) {
+	for fh := range other.mailboxFH {
+		m.mailboxFH[fh] = true
+	}
+	for fh := range other.big {
+		m.big[fh] = true
+	}
+	for fh, n := range other.bytes {
+		m.bytes[fh] += n
+	}
+}
+
+// MailboxShareResult carries the byte sums; Share applies the fallback
+// rule to them.
 type MailboxShareResult struct {
 	Mailbox uint64 // bytes moved on named-mailbox handles
 	Alt     uint64 // bytes moved on named-mailbox or multi-megabyte handles
@@ -163,19 +175,12 @@ func (m *MailboxShare) Finish() MailboxShareResult {
 	return r
 }
 
-// MergeMailboxShare sums shard results and applies the fallback rule:
-// when named mailboxes account for under half the bytes, the large-file
-// estimate stands in. It returns (mailbox, total) bytes.
-func MergeMailboxShare(parts ...MailboxShareResult) (mailbox, total uint64) {
-	var sum MailboxShareResult
-	for _, p := range parts {
-		sum.Mailbox += p.Mailbox
-		sum.Alt += p.Alt
-		sum.Total += p.Total
+// Share returns (mailbox, total) bytes under the fallback rule: when
+// named mailboxes account for under half the bytes, the large-file
+// estimate stands in.
+func (r MailboxShareResult) Share() (mailbox, total uint64) {
+	if r.Total > 0 && float64(r.Mailbox)/float64(r.Total) < 0.5 {
+		return r.Alt, r.Total
 	}
-	mailbox = sum.Mailbox
-	if sum.Total > 0 && float64(mailbox)/float64(sum.Total) < 0.5 {
-		mailbox = sum.Alt
-	}
-	return mailbox, sum.Total
+	return r.Mailbox, r.Total
 }

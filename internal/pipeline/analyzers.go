@@ -3,19 +3,17 @@ package pipeline
 import (
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/state"
 )
 
-// This file adapts each of the paper's analyses to the engine's
-// shard/merge contract. Every sharded analyzer here is exact: its
-// merged result is identical to a single sequential pass, either
+// The paper's analyses as engine analyzers. Each embeds the generic
+// sharded body (sharded.go) around one internal/analysis reducer and
+// adds its configuration, its results, and a finish step that reads the
+// results off the merged reducer. Every sharded analyzer here is exact:
+// its merged result is identical to a single sequential pass, either
 // because its state partitions by file handle (the router guarantees a
 // file's full history lands on one shard) or because its reduction is
 // an integer sum.
-
-// funcAcc adapts a consume function to Accumulator.
-type funcAcc struct{ f func(*core.Op) }
-
-func (a funcAcc) Consume(op *core.Op) { a.f(op) }
 
 // SummaryAnalyzer computes analysis.Summarize over the stream
 // (Tables 1 and 2).
@@ -26,41 +24,16 @@ type SummaryAnalyzer struct {
 	// Result is valid after the run.
 	Result *analysis.Summary
 
-	parts []*analysis.Summary
+	sharded[*analysis.Summary]
 }
 
 // Open implements Analyzer.
-func (a *SummaryAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.Summary, shards)
-	for i := range accs {
-		s := analysis.NewSummary(a.Days)
-		a.parts[i] = s
-		accs[i] = funcAcc{s.Add}
-	}
-	return accs
-}
+func (a *SummaryAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
 
-// Close implements Analyzer.
-func (a *SummaryAnalyzer) Close() {
-	a.Result = analysis.NewSummary(a.Days)
-	for _, p := range a.parts {
-		a.Result.Merge(p)
-	}
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *SummaryAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &SummaryAnalyzer{Days: a.Days}
-	f.parts = make([]*analysis.Summary, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		s := p.Clone()
-		f.parts[i] = s
-		accs[i] = funcAcc{s.Add}
-	}
-	return f, accs
-}
+func (a *SummaryAnalyzer) stateKey() string              { return "summary" }
+func (a *SummaryAnalyzer) newLike() Analyzer             { return &SummaryAnalyzer{Days: a.Days} }
+func (a *SummaryAnalyzer) newReducer() *analysis.Summary { return analysis.NewSummary(a.Days) }
+func (a *SummaryAnalyzer) finish(all *analysis.Summary)  { a.Result = all }
 
 // HourlyAnalyzer computes analysis.Hourly over the stream (Table 5,
 // Figure 4). Span > 0 fixes the hour buckets at construction; Span == 0
@@ -72,97 +45,104 @@ type HourlyAnalyzer struct {
 	// Result is valid after the run.
 	Result *analysis.HourlySeries
 
-	parts []*analysis.HourlySeries
+	sharded[*analysis.HourlySeries]
 }
 
-func (a *HourlyAnalyzer) newSeries() *analysis.HourlySeries {
+// Open implements Analyzer.
+func (a *HourlyAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
+
+func (a *HourlyAnalyzer) stateKey() string                  { return "hourly" }
+func (a *HourlyAnalyzer) newLike() Analyzer                 { return &HourlyAnalyzer{Span: a.Span} }
+func (a *HourlyAnalyzer) finish(all *analysis.HourlySeries) { a.Result = all }
+
+func (a *HourlyAnalyzer) newReducer() *analysis.HourlySeries {
 	if a.Span > 0 {
 		return analysis.NewHourly(a.Span)
 	}
 	return analysis.NewHourlyOpen()
 }
 
-// Open implements Analyzer.
-func (a *HourlyAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.HourlySeries, shards)
-	for i := range accs {
-		h := a.newSeries()
-		a.parts[i] = h
-		accs[i] = funcAcc{h.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *HourlyAnalyzer) Close() {
-	a.Result = a.newSeries()
-	for _, p := range a.parts {
-		a.Result.Merge(p)
-	}
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *HourlyAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &HourlyAnalyzer{Span: a.Span}
-	f.parts = make([]*analysis.HourlySeries, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		h := p.Clone()
-		f.parts[i] = h
-		accs[i] = funcAcc{h.Add}
-	}
-	return f, accs
-}
-
-// RunsAnalyzer detects access runs (Table 3, Figures 2 and 5). Each
-// shard accumulates per-file access lists and detects runs over its own
-// files at close; the run list is the concatenation in shard order.
-// Every downstream consumer (Tabulate, SizeProfile,
-// SequentialityProfile) aggregates per-run counts, so the concatenation
-// order cannot affect any table.
+// RunsAnalyzer detects access runs (Table 3, Figures 2 and 5) in the
+// per-file access lists the shards collect.
 type RunsAnalyzer struct {
 	Config analysis.RunConfig
 	// Result is valid after the run.
 	Result []analysis.Run
 
-	parts []analysis.AccessMap
+	sharded[analysis.AccessMap]
 }
 
 // Open implements Analyzer.
-func (a *RunsAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]analysis.AccessMap, shards)
-	for i := range accs {
-		m := make(analysis.AccessMap)
-		a.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *RunsAnalyzer) Close() {
-	a.Result = nil
-	for _, m := range a.parts {
-		a.Result = append(a.Result, analysis.DetectRunsInFiles(m, a.Config)...)
-	}
-}
+func (a *RunsAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
 
 // Table reports Tabulate over the detected runs.
 func (a *RunsAnalyzer) Table() analysis.RunTable { return analysis.Tabulate(a.Result) }
 
-// Fork implements ForkableAnalyzer.
-func (a *RunsAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &RunsAnalyzer{Config: a.Config}
-	f.parts = make([]analysis.AccessMap, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		m := p.Clone()
-		f.parts[i] = m
-		accs[i] = funcAcc{m.Add}
+func (a *RunsAnalyzer) stateKey() string               { return "runs" }
+func (a *RunsAnalyzer) newLike() Analyzer              { return &RunsAnalyzer{Config: a.Config} }
+func (a *RunsAnalyzer) newReducer() analysis.AccessMap { return make(analysis.AccessMap) }
+
+func (a *RunsAnalyzer) finish(all analysis.AccessMap) {
+	a.Result = analysis.DetectRunsInFiles(all, a.Config)
+}
+
+func (a *RunsAnalyzer) encodeHeader(e *state.Encoder) {
+	e.F64(a.Config.ReorderWindow)
+	e.F64(a.Config.IdleGap)
+	e.Varint(a.Config.JumpBlocks)
+}
+
+func (a *RunsAnalyzer) decodeHeader(d *state.Decoder) {
+	rw, ig, jb := d.F64(), d.F64(), d.Varint()
+	if d.Err() == nil && (rw != a.Config.ReorderWindow || ig != a.Config.IdleGap || jb != a.Config.JumpBlocks) {
+		d.Failf("run config (window=%v gap=%v k=%v) does not match receiver (window=%v gap=%v k=%v)",
+			rw, ig, jb, a.Config.ReorderWindow, a.Config.IdleGap, a.Config.JumpBlocks)
 	}
-	return f, accs
+}
+
+// ReorderSweepAnalyzer measures swapped accesses per reorder-window
+// size (Figure 1). Sorting windows apply per file, so the sweep runs
+// over the per-file access lists the shards collect.
+type ReorderSweepAnalyzer struct {
+	WindowsMS []float64
+	// Result is valid after the run.
+	Result []analysis.ReorderSweepPoint
+
+	sharded[analysis.AccessMap]
+}
+
+// Open implements Analyzer.
+func (a *ReorderSweepAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
+
+func (a *ReorderSweepAnalyzer) stateKey() string { return "reorder" }
+func (a *ReorderSweepAnalyzer) newLike() Analyzer {
+	return &ReorderSweepAnalyzer{WindowsMS: a.WindowsMS}
+}
+func (a *ReorderSweepAnalyzer) newReducer() analysis.AccessMap { return make(analysis.AccessMap) }
+
+func (a *ReorderSweepAnalyzer) finish(all analysis.AccessMap) {
+	swaps, total := analysis.SweepFiles(all, a.WindowsMS)
+	a.Result = analysis.SweepPoints(a.WindowsMS, swaps, total)
+}
+
+func (a *ReorderSweepAnalyzer) encodeHeader(e *state.Encoder) {
+	e.Uvarint(uint64(len(a.WindowsMS)))
+	for _, w := range a.WindowsMS {
+		e.F64(w)
+	}
+}
+
+func (a *ReorderSweepAnalyzer) decodeHeader(d *state.Decoder) {
+	n := d.Count("window count")
+	if d.Err() == nil && n != len(a.WindowsMS) {
+		d.Failf("window count %d does not match receiver's %d", n, len(a.WindowsMS))
+		return
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		if w := d.F64(); d.Err() == nil && w != a.WindowsMS[i] {
+			d.Failf("window %d is %vms, receiver has %vms", i, w, a.WindowsMS[i])
+		}
+	}
 }
 
 // BlockLifeAnalyzer runs the create-based block-lifetime analysis
@@ -174,135 +154,55 @@ type BlockLifeAnalyzer struct {
 	// Result is valid after the run.
 	Result *analysis.BlockLifeResult
 
-	parts []*analysis.BlockLifeStream
+	sharded[*analysis.BlockLifeStream]
 }
 
 // Open implements Analyzer.
-func (a *BlockLifeAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.BlockLifeStream, shards)
-	for i := range accs {
-		s := analysis.NewBlockLifeStream(a.Start, a.Phase, a.Margin)
-		a.parts[i] = s
-		accs[i] = s
-	}
-	return accs
+func (a *BlockLifeAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
+
+func (a *BlockLifeAnalyzer) stateKey() string                     { return "blocklife" }
+func (a *BlockLifeAnalyzer) sequential()                          {}
+func (a *BlockLifeAnalyzer) finish(all *analysis.BlockLifeStream) { a.Result = all.Result() }
+
+func (a *BlockLifeAnalyzer) newLike() Analyzer {
+	return &BlockLifeAnalyzer{Start: a.Start, Phase: a.Phase, Margin: a.Margin}
 }
 
-// Close implements Analyzer.
-func (a *BlockLifeAnalyzer) Close() {
-	results := make([]*analysis.BlockLifeResult, len(a.parts))
-	for i, s := range a.parts {
-		results[i] = s.Result()
-	}
-	a.Result = analysis.MergeBlockLife(results...)
+func (a *BlockLifeAnalyzer) newReducer() *analysis.BlockLifeStream {
+	return analysis.NewBlockLifeStream(a.Start, a.Phase, a.Margin)
 }
 
-// Fork implements ForkableAnalyzer.
-func (a *BlockLifeAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &BlockLifeAnalyzer{Start: a.Start, Phase: a.Phase, Margin: a.Margin}
-	f.parts = make([]*analysis.BlockLifeStream, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		s := p.Clone()
-		f.parts[i] = s
-		accs[i] = s
-	}
-	return f, accs
-}
-
-// ReorderSweepAnalyzer measures swapped accesses per reorder-window
-// size (Figure 1). Sorting windows apply per file, so shards sweep
-// their own files and the swap counts sum.
-type ReorderSweepAnalyzer struct {
-	WindowsMS []float64
-	// Result is valid after the run.
-	Result []analysis.ReorderSweepPoint
-
-	parts []analysis.AccessMap
-}
-
-// Open implements Analyzer.
-func (a *ReorderSweepAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]analysis.AccessMap, shards)
-	for i := range accs {
-		m := make(analysis.AccessMap)
-		a.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return accs
-}
-
-// Close implements Analyzer.
-func (a *ReorderSweepAnalyzer) Close() {
-	swaps := make([]int, len(a.WindowsMS))
-	total := 0
-	for _, m := range a.parts {
-		s, t := analysis.SweepFiles(m, a.WindowsMS)
-		for i := range swaps {
-			swaps[i] += s[i]
-		}
-		total += t
-	}
-	a.Result = analysis.SweepPoints(a.WindowsMS, swaps, total)
-}
-
-// Fork implements ForkableAnalyzer.
-func (a *ReorderSweepAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &ReorderSweepAnalyzer{WindowsMS: a.WindowsMS}
-	f.parts = make([]analysis.AccessMap, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		m := p.Clone()
-		f.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return f, accs
+// prune drops, before encoding, the bindings of a shard's (dir, name) →
+// file map that the global stream has since rebound or removed (the
+// superseding op routed to a different shard). The router sees every
+// binding event in order, so it is the arbiter: only bindings it still
+// agrees with survive, which is exactly the map a single-shard run
+// would hold.
+func (a *BlockLifeAnalyzer) prune(part *analysis.BlockLifeStream, rt *router) {
+	part.PruneNames(func(dir core.FH, name string, child core.FH) bool {
+		return rt.names[binding{dir, name}] == child
+	})
 }
 
 // PeakHourAnalyzer counts peak-hour file instances by category
-// (Table 1). Instance sets partition by handle, so shard counts sum.
+// (Table 1). Instance sets partition by handle, so shard sets union.
 type PeakHourAnalyzer struct {
 	From, To float64
 	// Result is valid after the run.
 	Result analysis.PeakHourResult
 
-	parts []*analysis.PeakHourInstances
+	sharded[*analysis.PeakHourInstances]
 }
 
 // Open implements Analyzer.
-func (a *PeakHourAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.PeakHourInstances, shards)
-	for i := range accs {
-		p := analysis.NewPeakHourInstances(a.From, a.To)
-		a.parts[i] = p
-		accs[i] = funcAcc{p.Add}
-	}
-	return accs
-}
+func (a *PeakHourAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
 
-// Close implements Analyzer.
-func (a *PeakHourAnalyzer) Close() {
-	results := make([]analysis.PeakHourResult, len(a.parts))
-	for i, p := range a.parts {
-		results[i] = p.Finish()
-	}
-	a.Result = analysis.MergePeakHour(results...)
-}
+func (a *PeakHourAnalyzer) stateKey() string                       { return "peakhour" }
+func (a *PeakHourAnalyzer) newLike() Analyzer                      { return &PeakHourAnalyzer{From: a.From, To: a.To} }
+func (a *PeakHourAnalyzer) finish(all *analysis.PeakHourInstances) { a.Result = all.Finish() }
 
-// Fork implements ForkableAnalyzer.
-func (a *PeakHourAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &PeakHourAnalyzer{From: a.From, To: a.To}
-	f.parts = make([]*analysis.PeakHourInstances, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		c := p.Clone()
-		f.parts[i] = c
-		accs[i] = funcAcc{c.Add}
-	}
-	return f, accs
+func (a *PeakHourAnalyzer) newReducer() *analysis.PeakHourInstances {
+	return analysis.NewPeakHourInstances(a.From, a.To)
 }
 
 // MailboxAnalyzer computes the mailbox share of data bytes (Table 1).
@@ -310,41 +210,18 @@ type MailboxAnalyzer struct {
 	// MailboxBytes and TotalBytes are valid after the run.
 	MailboxBytes, TotalBytes uint64
 
-	parts []*analysis.MailboxShare
+	sharded[*analysis.MailboxShare]
 }
 
 // Open implements Analyzer.
-func (a *MailboxAnalyzer) Open(shards int) []Accumulator {
-	accs := make([]Accumulator, shards)
-	a.parts = make([]*analysis.MailboxShare, shards)
-	for i := range accs {
-		m := analysis.NewMailboxShare()
-		a.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return accs
-}
+func (a *MailboxAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
 
-// Close implements Analyzer.
-func (a *MailboxAnalyzer) Close() {
-	results := make([]analysis.MailboxShareResult, len(a.parts))
-	for i, m := range a.parts {
-		results[i] = m.Finish()
-	}
-	a.MailboxBytes, a.TotalBytes = analysis.MergeMailboxShare(results...)
-}
+func (a *MailboxAnalyzer) stateKey() string                   { return "mailbox" }
+func (a *MailboxAnalyzer) newLike() Analyzer                  { return &MailboxAnalyzer{} }
+func (a *MailboxAnalyzer) newReducer() *analysis.MailboxShare { return analysis.NewMailboxShare() }
 
-// Fork implements ForkableAnalyzer.
-func (a *MailboxAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &MailboxAnalyzer{}
-	f.parts = make([]*analysis.MailboxShare, len(a.parts))
-	accs := make([]Accumulator, len(a.parts))
-	for i, p := range a.parts {
-		m := p.Clone()
-		f.parts[i] = m
-		accs[i] = funcAcc{m.Add}
-	}
-	return f, accs
+func (a *MailboxAnalyzer) finish(all *analysis.MailboxShare) {
+	a.MailboxBytes, a.TotalBytes = all.Finish().Share()
 }
 
 // HierarchyAnalyzer measures §4.1.1 namespace-reconstruction coverage.
@@ -357,93 +234,43 @@ type HierarchyAnalyzer struct {
 	// Coverage is valid after the run.
 	Coverage float64
 
-	acc *hierarchyAcc
+	sharded[*analysis.Hierarchy]
 }
 
 // Unsharded marks HierarchyAnalyzer as global.
 func (a *HierarchyAnalyzer) Unsharded() {}
 
 // Open implements Analyzer.
-func (a *HierarchyAnalyzer) Open(shards int) []Accumulator {
-	a.acc = &hierarchyAcc{h: analysis.NewHierarchy(), warmup: a.Warmup}
-	return []Accumulator{a.acc}
-}
+func (a *HierarchyAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
 
-// Close implements Analyzer.
-func (a *HierarchyAnalyzer) Close() {
-	a.Coverage = 0
-	if a.acc != nil && a.acc.total > 0 {
-		a.Coverage = float64(a.acc.resolvable) / float64(a.acc.total)
-	}
-}
-
-// Fork implements ForkableAnalyzer. The forked analyzer is itself a
-// GlobalAnalyzer, so a snapshot continuation feeds it the full ordered
-// stream, exactly as the engine does.
-func (a *HierarchyAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &HierarchyAnalyzer{Warmup: a.Warmup}
-	f.acc = &hierarchyAcc{
-		h:          a.acc.h.Clone(),
-		warmup:     a.acc.warmup,
-		started:    a.acc.started,
-		start:      a.acc.start,
-		resolvable: a.acc.resolvable,
-		total:      a.acc.total,
-	}
-	return f, []Accumulator{f.acc}
-}
+func (a *HierarchyAnalyzer) stateKey() string                { return "hierarchy" }
+func (a *HierarchyAnalyzer) sequential()                     {}
+func (a *HierarchyAnalyzer) newLike() Analyzer               { return &HierarchyAnalyzer{Warmup: a.Warmup} }
+func (a *HierarchyAnalyzer) newReducer() *analysis.Hierarchy { return analysis.NewHierarchy(a.Warmup) }
+func (a *HierarchyAnalyzer) finish(all *analysis.Hierarchy)  { a.Coverage = all.WarmCoverage() }
 
 // NamesAnalyzer runs the §6.3 filename analysis over the stream. Name
 // bindings and file instances span directories arbitrarily, so like the
 // hierarchy it is a GlobalAnalyzer: one ordered pass on a dedicated
 // goroutine, overlapping the sharded analyses.
 type NamesAnalyzer struct {
-	stream *analysis.NamesStream
+	sharded[*analysis.NamesStream]
 }
 
 // Unsharded marks NamesAnalyzer as global.
 func (a *NamesAnalyzer) Unsharded() {}
 
 // Open implements Analyzer.
-func (a *NamesAnalyzer) Open(shards int) []Accumulator {
-	a.stream = analysis.NewNamesStream()
-	return []Accumulator{funcAcc{a.stream.Consume}}
-}
-
-// Close implements Analyzer.
-func (a *NamesAnalyzer) Close() {}
+func (a *NamesAnalyzer) Open(shards int) []Accumulator { return a.open(a, shards) }
 
 // ReportAt builds the report as of windowEnd. Valid after the run (or
 // any time the stream is quiescent — Report does not consume state).
 func (a *NamesAnalyzer) ReportAt(windowEnd float64) *analysis.NameReport {
-	return a.stream.Report(windowEnd)
+	return a.parts[0].Report(windowEnd)
 }
 
-// Fork implements ForkableAnalyzer.
-func (a *NamesAnalyzer) Fork() (Analyzer, []Accumulator) {
-	f := &NamesAnalyzer{stream: a.stream.Clone()}
-	return f, []Accumulator{funcAcc{f.stream.Consume}}
-}
-
-type hierarchyAcc struct {
-	h      *analysis.Hierarchy
-	warmup float64
-
-	started           bool
-	start             float64
-	resolvable, total int64
-}
-
-func (c *hierarchyAcc) Consume(op *core.Op) {
-	if !c.started {
-		c.start = op.T + c.warmup
-		c.started = true
-	}
-	if op.T >= c.start && op.FH != 0 {
-		c.total++
-		if c.h.Known(op.FH) {
-			c.resolvable++
-		}
-	}
-	c.h.Observe(op)
-}
+func (a *NamesAnalyzer) stateKey() string                  { return "names" }
+func (a *NamesAnalyzer) sequential()                       {}
+func (a *NamesAnalyzer) newLike() Analyzer                 { return &NamesAnalyzer{} }
+func (a *NamesAnalyzer) newReducer() *analysis.NamesStream { return analysis.NewNamesStream() }
+func (a *NamesAnalyzer) finish(*analysis.NamesStream)      {}

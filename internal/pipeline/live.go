@@ -82,7 +82,7 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 			for b := range lv.shardCh[w] {
 				for _, op := range b.ops {
 					for _, acc := range accs {
-						acc.Consume(op)
+						acc.Add(op)
 					}
 				}
 				if b.arrive != nil {
@@ -102,7 +102,7 @@ func NewLive(cfg Config, analyzers ...Analyzer) *Live {
 			defer lv.wg.Done()
 			for b := range lv.globalCh[g] {
 				for _, op := range b.ops {
-					acc.Consume(op)
+					acc.Add(op)
 				}
 				if b.arrive != nil {
 					b.arrive.Done()
@@ -309,10 +309,10 @@ func (s *Snapshot) Feed(op *core.Op) {
 
 	w := s.rt.shard(op)
 	for _, acc := range s.perShard[w] {
-		acc.Consume(op)
+		acc.Add(op)
 	}
 	for _, acc := range s.globalAccs {
-		acc.Consume(op)
+		acc.Add(op)
 	}
 }
 

@@ -8,12 +8,17 @@ import (
 )
 
 // plainAnalyzer implements Analyzer but not ForkableAnalyzer.
-type plainAnalyzer struct{ n int64 }
+type plainAnalyzer struct{}
+
+// countAcc counts the ops routed to one shard.
+type countAcc struct{ n int64 }
+
+func (c *countAcc) Add(*core.Op) { c.n++ }
 
 func (a *plainAnalyzer) Open(shards int) []Accumulator {
 	accs := make([]Accumulator, shards)
 	for i := range accs {
-		accs[i] = funcAcc{func(*core.Op) { a.n++ }}
+		accs[i] = &countAcc{}
 	}
 	return accs
 }

@@ -92,9 +92,10 @@ func (s *sliceOps) Next() (*core.Op, error) {
 }
 
 // Accumulator consumes the operations routed to one shard, in stream
-// order. Implementations are never called concurrently.
+// order. Implementations are never called concurrently. Every
+// internal/analysis reducer is one.
 type Accumulator interface {
-	Consume(op *core.Op)
+	Add(op *core.Op)
 }
 
 // Analyzer is one reduction over the op stream. Open is called once per

@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/state"
@@ -89,10 +92,10 @@ func WritePartial(w io.Writer, lv *Live, label string, join core.JoinStats, pare
 	// must resolve removes and renames of files bound before the cut.
 	e.Section(routerSection)
 	e.Uvarint(uint64(len(lv.rt.names)))
-	for b, fh := range lv.rt.names {
+	for _, b := range lv.rt.sortedBindings() {
 		e.FH(b.dir)
 		e.String(b.name)
-		e.FH(fh)
+		e.FH(lv.rt.names[b])
 	}
 
 	for i, sa := range stateful {
@@ -100,6 +103,23 @@ func WritePartial(w io.Writer, lv *Live, label string, join core.JoinStats, pare
 		sa.encodeState(e, lv.rt)
 	}
 	return e.Flush(w)
+}
+
+// sortedBindings returns the binding map's keys ordered by (directory,
+// name), so a serialized router section is the same bytes on every
+// encode within a process.
+func (r *router) sortedBindings() []binding {
+	keys := make([]binding, 0, len(r.names))
+	for b := range r.names {
+		keys = append(keys, b)
+	}
+	slices.SortFunc(keys, func(a, b binding) int {
+		if c := cmp.Compare(a.dir, b.dir); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	return keys
 }
 
 // ReadPartial parses a state file and its metadata. Sections beyond the

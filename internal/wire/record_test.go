@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/rpc"
 )
@@ -138,5 +141,68 @@ func TestRecordConnLimits(t *testing.T) {
 	send := NewRecordConn(&rwBuffer{r: &bytes.Buffer{}, w: &bytes.Buffer{}})
 	if err := send.WriteRecord(make([]byte, MaxRecordLen+1)); err == nil {
 		t.Fatal("oversized write accepted")
+	}
+}
+
+// TestRecordConnConcurrentReadWrite drives one reader goroutine and one
+// writer goroutine on the same RecordConn, as the pipelined client, the
+// server and the dispatch peers do, with many records in flight over a
+// net.Pipe to an echo peer that also reads and writes concurrently.
+// Shared scratch state between ReadRecord and WriteRecord shows up here
+// as a -race report or as a desynchronized stream.
+func TestRecordConnConcurrentReadWrite(t *testing.T) {
+	const n = 64
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	deadline := time.Now().Add(20 * time.Second)
+	near.SetDeadline(deadline)
+	far.SetDeadline(deadline)
+
+	// Echo peer: its reader hands records to its writer through a
+	// buffered channel, so up to n records are in flight each way.
+	peer := NewRecordConn(far)
+	echo := make(chan []byte, n)
+	go func() {
+		defer close(echo)
+		for {
+			msg, err := peer.ReadRecord()
+			if err != nil {
+				return
+			}
+			echo <- msg
+		}
+	}()
+	go func() {
+		for msg := range echo {
+			if peer.WriteRecord(msg) != nil {
+				return
+			}
+		}
+	}()
+
+	rc := NewRecordConn(near)
+	msgOf := func(i int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("record %d;", i)), 1+i%7) }
+	werr := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := rc.WriteRecord(msgOf(i)); err != nil {
+				werr <- err
+				return
+			}
+		}
+		werr <- nil
+	}()
+	for i := 0; i < n; i++ {
+		got, err := rc.ReadRecord()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if want := msgOf(i); !bytes.Equal(got, want) {
+			t.Fatalf("record %d: got %q, want %q", i, got, want)
+		}
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("writer: %v", err)
 	}
 }
